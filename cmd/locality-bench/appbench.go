@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"threadsched/internal/harness"
@@ -19,8 +21,9 @@ type appRecord struct {
 	CPUs   int                 `json:"cpus"`
 	Reps   int                 `json:"reps"`
 	Apps   []harness.AppResult `json:"apps"`
-	// Note documents measurement caveats (e.g. a single-core host, where
-	// parallel worker speedups measure coordination overhead, not scaling).
+	// Note names the host (CPUs, GOMAXPROCS, CPU model) and documents
+	// measurement caveats (e.g. a single-core host, where parallel worker
+	// speedups measure coordination overhead, not scaling).
 	Note string `json:"note,omitempty"`
 }
 
@@ -36,10 +39,15 @@ func runAppBench(prog harness.Progress, path string, reps int) error {
 		Reps:   reps,
 		Apps:   apps,
 	}
-	if rec.CPUs == 1 {
-		rec.Note = "single-core host: parallel worker counts measure scheduler " +
+	rec.Note = fmt.Sprintf("host: %d CPUs, GOMAXPROCS %d, %s", rec.CPUs, runtime.GOMAXPROCS(0), cpuModel())
+	switch {
+	case rec.CPUs == 1:
+		rec.Note += "; single-core host: parallel worker counts measure scheduler " +
 			"coordination overhead, not scaling; kernel_speedup (serial vs serial) " +
 			"is the meaningful comparison here"
+	case rec.CPUs < 4:
+		rec.Note += fmt.Sprintf("; parallel_speedup_4w runs 4 workers on %d CPUs, "+
+			"so it is bounded by %d, not 4", rec.CPUs, rec.CPUs)
 	}
 	for _, a := range apps {
 		kernelRef, kernel := a.SerialRefNS, a.SerialNS
@@ -63,4 +71,21 @@ func runAppBench(prog harness.Progress, path string, reps int) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d apps)\n", path, len(apps))
 	return nil
+}
+
+// cpuModel is the first "model name" in /proc/cpuinfo, or "unknown CPU
+// model" where that file is missing.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown CPU model"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown CPU model"
 }

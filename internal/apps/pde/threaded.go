@@ -69,7 +69,7 @@ func ThreadedExact(g *Grid, iters int, sched *core.DepScheduler) error {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart for the
-// dependence-exact variant: the same binning plus the parallel wavefront
+// dependence-exact variant: the same binning plus the parallel dataflow
 // executor. Concurrently runnable threads of the PDE DAG are at least
 // three fused steps apart (thread (it₂,j₂) transitively requires
 // (it₁, j₂+2(it₂−it₁)) with it₁ < it₂, so a pending (it₁,j₁) has

@@ -41,7 +41,7 @@ func ThreadedScheduler(l2Size uint64) *core.Scheduler {
 }
 
 // ParallelScheduler is ThreadedScheduler's multicore counterpart for the
-// dependence-exact variant: the same binning plus the parallel wavefront
+// dependence-exact variant: the same binning plus the parallel dataflow
 // executor. Concurrently runnable threads of the SOR DAG are at least two
 // columns apart (thread (it₂,j₂) transitively requires (it₁, j₂+(it₂−it₁))
 // with it₁ < it₂, so a pending (it₁,j₁) has j₁ ≥ j₂+2), which keeps each

@@ -206,10 +206,14 @@ type Config struct {
 	// cut along subtree boundaries, and steals pick victims by cache
 	// distance with a per-level width policy. A 1-level topology is the
 	// flat dispatch expressed through the tree and behaves identically.
+	// It does not shape DepScheduler dispatch: the dependence executor
+	// has no per-batch partition to cut (see DepScheduler).
 	Topology *Topology
-	// CriticalPathFirst orders DepScheduler frontiers by longest remaining
+	// CriticalPathFirst orders DepScheduler execution by longest remaining
 	// dependence path (precomputed once per DAG) so chains drain before
-	// leaves. False — the default — keeps the original fork/ID order.
+	// leaves: the serial executor visits the tallest bins first each
+	// round, the parallel one drains its ready set tallest-first. False —
+	// the default — keeps the original fork/ID order.
 	CriticalPathFirst bool
 	// ParallelFork shards the fork-side state into lock stripes so Fork
 	// may be called from many goroutines concurrently (see the package

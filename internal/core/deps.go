@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"threadsched/internal/obs"
 )
@@ -26,11 +24,11 @@ import (
 // Independent threads therefore keep the paper's bin clustering, and
 // dependent ones are delayed exactly as long as the DAG requires.
 //
-// With Config.Workers > 1, Run instead drains the DAG in waves: each wave
-// gathers every currently runnable thread, partitions them by bin into
-// contiguous weighted segments (PartitionWeights, so each worker walks
-// neighbouring bins just like the parallel Scheduler tour), and executes
-// the wave on the persistent worker pool. Threads with no dependence path
+// With Config.Workers > 1, Run instead executes the DAG as a barrier-free
+// dataflow on the persistent worker pool (see dataflow.go): a thread runs
+// as soon as its last predecessor finishes, on that predecessor's worker
+// when it is the first dependent readied, otherwise from a shared ready
+// set any idle worker claims from. Threads with no dependence path
 // between them may then run concurrently — callers must ensure the
 // dependence edges cover every conflicting access, which is exactly what
 // the wavefront variants (sor.ThreadedExact, pde.ThreadedExact) encode.
@@ -39,11 +37,11 @@ import (
 // Config.CriticalPathFirst additionally orders execution by downstream
 // slack: each thread's longest remaining dependence path is computed once
 // per DAG, the serial executor visits bins holding the tallest chains
-// first each round, and the wave executor drains each frontier
-// tallest-first — so chains retire ahead of leaves and late waves are
-// less likely to serialize on one straggler chain. Config.Topology
-// routes the wave partition through the same hierarchical bin tree the
-// parallel Scheduler uses (see tree.go).
+// first each round, and the parallel executor drains its ready set
+// tallest-first — so chains retire ahead of leaves and the run is less
+// likely to end serialized on one straggler chain. Config.Topology does
+// not shape DepScheduler dispatch: the parallel executor has no per-batch
+// partition to cut, and a chain stays on the worker that readied it.
 type DepScheduler struct {
 	sched *Scheduler // reuses binning via an internal fork of metadata
 
@@ -51,19 +49,14 @@ type DepScheduler struct {
 	fold       bool
 	workers    int
 
-	// topo and binBytes route parallel waves through the hierarchical bin
-	// tree when Config.Topology is set; nil keeps the flat wave partition.
-	topo     *Topology
-	binBytes uint64
-
 	// critical enables Config.CriticalPathFirst: heights[id] is the
 	// longest dependence path below thread id (its downstream slack),
-	// computed once per DAG, and frontiers drain tallest-first.
+	// computed once per DAG, and ready threads drain tallest-first.
 	critical bool
 	heights  []int32
 
-	// met records the wavefront metrics (dep.waves, dep.frontier,
-	// dep.wave_ns); disabled when the Config carried no Obs.
+	// met records the dataflow metrics (dep.idle_ns, dep.published);
+	// disabled when the Config carried no Obs.
 	met depObs
 
 	threads []depThread
@@ -71,19 +64,9 @@ type DepScheduler struct {
 	binIdx  map[binKey]int
 	pending int
 
-	// Wavefront scratch, reused across waves (and runs) so frontier
-	// collection allocates nothing in steady state: frontier is the flat
-	// runnable-thread buffer each wave's spans slice into, and active is
-	// the compacted list of bin indexes still holding unexecuted threads.
-	frontier []ThreadID
-	active   []int
-}
-
-// waveSpan is one bin's slice of a wave frontier: frontier[start:end]
-// holds the bin's runnable threads, bin names the depBin for post-wave
-// accounting.
-type waveSpan struct {
-	start, end, bin int
+	// flow is the parallel executor's shared state, kept across runs so
+	// its ready-set buffer is reused.
+	flow dataflow
 }
 
 // ThreadID names a forked thread within one DepScheduler run.
@@ -94,8 +77,9 @@ type depThread struct {
 	arg1, arg2 int
 	bin        int
 	// waits is the number of unfinished predecessors (-1 marks an invalid
-	// dependence). Parallel waves decrement it atomically; every read
-	// happens after the wave barrier, so plain loads elsewhere are safe.
+	// dependence). The parallel executor decrements it atomically, and the
+	// worker that takes it to zero owns the thread; the plain loads
+	// elsewhere happen before the run starts or after its workers quiesce.
 	waits int32
 	// badDep is the offending dependence when waits is -1, surfaced by
 	// Run in the UnknownDependencyError.
@@ -109,7 +93,6 @@ type depBin struct {
 	key   binKey
 	queue []ThreadID // forked order
 	next  int        // first unexecuted index
-	pend  int        // queued threads not yet executed
 }
 
 // ErrDependencyCycle reports that Run found threads that can never become
@@ -176,32 +159,33 @@ func (e *UnknownDependencyError) Error() string {
 func (e *UnknownDependencyError) Unwrap() error { return ErrUnknownDependency }
 
 // NewDep returns a dependence-aware scheduler configured like New.
-// Config.Workers > 1 selects the parallel wavefront executor.
+// Config.Workers > 1 selects the parallel dataflow executor.
 func NewDep(cfg Config) *DepScheduler {
 	s := New(cfg)
-	return &DepScheduler{
+	d := &DepScheduler{
 		sched:      s,
 		blockShift: s.blockShift,
 		fold:       cfg.FoldSymmetric,
 		workers:    cfg.Workers,
-		topo:       s.cfg.Topology,
-		binBytes:   s.binFootprint(),
 		critical:   cfg.CriticalPathFirst,
 		met:        newDepObs(cfg.Obs),
 		binIdx:     make(map[binKey]int),
 	}
+	d.flow.d = d
+	d.flow.wake.L = &d.flow.mu
+	return d
 }
 
-// Workers returns the configured wave-executor worker count; values below
-// two mean Run drains bins serially.
+// Workers returns the configured parallel-executor worker count; values
+// below two mean Run drains bins serially.
 func (d *DepScheduler) Workers() int { return d.workers }
 
 // Close releases the worker goroutines a parallel Run left parked; see
 // Scheduler.Close.
 func (d *DepScheduler) Close() { d.sched.Close() }
 
-// Snapshot merges the attached observability registry (wave counts,
-// frontier sizes, wave times plus the shared worker metrics); the zero
+// Snapshot merges the attached observability registry (worker park times
+// and ready-set publications plus the shared worker metrics); the zero
 // Snapshot without Config.Obs. See Scheduler.Snapshot.
 func (d *DepScheduler) Snapshot() obs.Snapshot { return d.sched.Snapshot() }
 
@@ -254,7 +238,6 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 	}
 	d.threads = append(d.threads, t)
 	d.bins[bi].queue = append(d.bins[bi].queue, id)
-	d.bins[bi].pend++
 	d.pending++
 	return id
 }
@@ -262,7 +245,7 @@ func (d *DepScheduler) Fork(f Func, arg1, arg2 int, h1, h2, h3 uint64, deps ...T
 // Run executes all threads in a locality-greedy topological order,
 // destroying the schedule. It fails (leaving unexecuted threads
 // unexecuted) if dependencies are invalid or cyclic. With Workers > 1
-// each wave of runnable threads executes concurrently on the worker pool.
+// runnable threads execute concurrently on the worker pool.
 //
 // Run is RunContext without cancellation; a thread panic propagates as a
 // panic (with a *ThreadPanicError value) exactly as it did before
@@ -279,7 +262,7 @@ func (d *DepScheduler) Run() error {
 // A thread panic is recovered, the run quiesces (parallel workers stop at
 // their next bin boundary; no goroutines leak), and the first panic
 // returns as a *ThreadPanicError. A done ctx stops the run at the next
-// bin (serial) or wave (parallel) boundary and returns ctx.Err(). Invalid
+// bin (serial) or thread (parallel) boundary and returns ctx.Err(). Invalid
 // dependencies return an *UnknownDependencyError before any thread runs,
 // and a run that stops making progress returns a *DependencyCycleError
 // naming one witness cycle.
@@ -303,7 +286,7 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 		d.computeHeights()
 	}
 	if d.workers > 1 {
-		return d.runWaves(ctx)
+		return d.runDataflow(ctx)
 	}
 	binOrder := d.serialBinOrder()
 	remaining := d.pending
@@ -329,164 +312,8 @@ func (d *DepScheduler) RunContext(ctx context.Context) error {
 		remaining -= ranThisRound
 	}
 	// Cancellation wins even when it lands during the final drain, for
-	// consistency with the wavefront path's post-wave control check.
+	// consistency with the parallel path's post-quiescence control check.
 	return ctx.Err()
-}
-
-// runWaves is the parallel executor: repeatedly collect the runnable
-// frontier (per bin, in forked order), cut it into contiguous weighted
-// bin segments, and execute one segment per worker. The barrier between
-// waves is what lets dependents observe completed predecessors without
-// per-thread synchronization; within a wave only threads with no
-// dependence path between them run, and they are at least two bins apart
-// in the wavefront codes, so per-worker bin runs keep the paper's
-// clustering.
-//
-// Collection is amortized: runnable threads go into one flat reused
-// buffer (d.frontier) described by per-bin spans rather than a fresh
-// slice per bin per wave, and bins whose threads have all executed leave
-// the scan via the compacted active list — a deep DAG over many bins
-// pays per wave only for the bins still alive.
-func (d *DepScheduler) runWaves(ctx context.Context) error {
-	ctrl := newRunControl(ctx)
-	d.active = d.active[:0]
-	for i := range d.bins {
-		d.active = append(d.active, i)
-	}
-	var (
-		spans   []waveSpan
-		weights []int
-	)
-	for d.pending > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d.frontier = d.frontier[:0]
-		spans, weights = spans[:0], weights[:0]
-		total := 0
-		for _, bi := range d.active {
-			b := d.bins[bi]
-			start := len(d.frontier)
-			for i := b.next; i < len(b.queue); i++ {
-				id := b.queue[i]
-				t := &d.threads[id]
-				if t.done {
-					if i == b.next {
-						b.next++
-					}
-					continue
-				}
-				if t.waits > 0 {
-					continue
-				}
-				d.frontier = append(d.frontier, id)
-			}
-			if n := len(d.frontier) - start; n > 0 {
-				if d.critical && n > 1 {
-					// Tallest chains first within the bin; stable so ties
-					// keep forked order.
-					slot := d.frontier[start:]
-					sort.SliceStable(slot, func(a, b int) bool {
-						return d.heights[slot[a]] > d.heights[slot[b]]
-					})
-				}
-				spans = append(spans, waveSpan{start: start, end: len(d.frontier), bin: bi})
-				weights = append(weights, n)
-				total += n
-			}
-		}
-		if total == 0 {
-			return d.cycleError()
-		}
-		if d.critical && len(spans) > 1 {
-			// Bins carrying the tallest remaining chains drain first. This
-			// trades some tour adjacency for chain progress, which is the
-			// point of CriticalPathFirst; stable keeps tour order on ties.
-			sort.Stable(&spanHeightSort{spans: spans, weights: weights, d: d})
-		}
-		d.met.waves.Inc(0)
-		d.met.frontier.Observe(0, uint64(total))
-		var start time.Time
-		if d.met.o != nil {
-			start = time.Now()
-		}
-		d.executeWave(spans, weights, ctrl)
-		if d.met.o != nil {
-			d.met.waveNS.Observe(0, uint64(time.Since(start)))
-		}
-		// The fanOut barrier inside executeWave ordered every record call
-		// before this check, so a panic anywhere in the wave is visible.
-		if err := ctrl.err(); err != nil {
-			return err
-		}
-		// The wave completed: settle per-bin remaining counts serially and
-		// drop exhausted bins from the next collection scan.
-		for _, sp := range spans {
-			d.bins[sp.bin].pend -= sp.end - sp.start
-		}
-		live := d.active[:0]
-		for _, bi := range d.active {
-			if d.bins[bi].pend > 0 {
-				live = append(live, bi)
-			}
-		}
-		d.active = live
-		d.pending -= total
-	}
-	return ctx.Err() // cancellation wins even on a completed drain
-}
-
-// executeWave runs the collected frontier on the worker pool, one
-// contiguous run of bins per worker. With a Topology the cut follows the
-// hierarchical bin tree over the wave's spans (topoAssign), so worker
-// clusters sharing a cache take adjacent runs of frontier bins, exactly
-// as the parallel Scheduler tour does; otherwise it is the flat weighted
-// partition. Workers slice the shared frontier buffer read-only through
-// their spans and check the shared runControl between bins, so a panic on
-// one worker (recovered into the control) or an expired ctx halts the
-// wave at bin granularity; fanOut's barrier then guarantees quiescence
-// before runWaves inspects the control.
-func (d *DepScheduler) executeWave(spans []waveSpan, weights []int, ctrl *runControl) {
-	var asn []segRange
-	if d.topo != nil {
-		asn = topoAssign(weights, d.workers, buildBinTree(len(spans), d.binBytes, d.topo))
-	} else {
-		asn = startsToRanges(PartitionWeights(weights, d.workers), len(spans))
-	}
-	d.sched.fanOut(len(asn), "wave", func(self int) {
-		sp := d.sched.met.span(self, "wave")
-		defer sp.End()
-		for si := asn[self].lo; si < asn[self].hi; si++ {
-			if ctrl.halted() {
-				return
-			}
-			ws := spans[si]
-			if perr := d.runWaveBin(d.frontier[ws.start:ws.end], ws.bin, self); perr != nil {
-				ctrl.record(perr)
-				return
-			}
-		}
-	})
-}
-
-// spanHeightSort co-sorts a wave's spans and weights by each span's
-// tallest thread height, descending. The spans' frontier slices were
-// already sorted tallest-first, so frontier[start] carries the maximum.
-type spanHeightSort struct {
-	spans   []waveSpan
-	weights []int
-	d       *DepScheduler
-}
-
-func (s *spanHeightSort) Len() int { return len(s.spans) }
-
-func (s *spanHeightSort) Less(i, j int) bool {
-	return s.d.heights[s.d.frontier[s.spans[i].start]] > s.d.heights[s.d.frontier[s.spans[j].start]]
-}
-
-func (s *spanHeightSort) Swap(i, j int) {
-	s.spans[i], s.spans[j] = s.spans[j], s.spans[i]
-	s.weights[i], s.weights[j] = s.weights[j], s.weights[i]
 }
 
 // computeHeights fills heights[id] with the longest dependence path from
@@ -537,36 +364,6 @@ func (d *DepScheduler) serialBinOrder() []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return maxH[order[a]] > maxH[order[b]] })
 	return order
-}
-
-// runWaveBin executes one wave bin's threads, recovering a thread panic
-// into a *ThreadPanicError. Threads that completed before the panic have
-// notified their dependents; the run is abandoned anyway, so the partial
-// notifications are never observed past reset.
-func (d *DepScheduler) runWaveBin(ids []ThreadID, binIdx, worker int) (perr *ThreadPanicError) {
-	cur := ThreadID(-1)
-	defer func() {
-		if r := recover(); r != nil {
-			perr = &ThreadPanicError{
-				Value:  r,
-				Phase:  "wave",
-				Worker: worker,
-				Bin:    binIdx,
-				Thread: int(cur),
-				Stack:  debug.Stack(),
-			}
-		}
-	}()
-	for _, id := range ids {
-		cur = id
-		t := &d.threads[id]
-		t.fn(t.arg1, t.arg2)
-		t.done = true
-		for _, dep := range t.dependents {
-			atomic.AddInt32(&d.threads[dep].waits, -1)
-		}
-	}
-	return nil
 }
 
 // drainBin runs every currently runnable thread of the bin, in forked
@@ -682,12 +479,10 @@ func (d *DepScheduler) cycleError() *DependencyCycleError {
 }
 
 // reset discards all thread state; IDs from before are invalid. The
-// wavefront scratch buffers keep their capacity for the next run.
+// ready-set buffer keeps its capacity for the next run.
 func (d *DepScheduler) reset() {
 	d.threads = d.threads[:0]
 	d.bins = d.bins[:0]
 	d.binIdx = make(map[binKey]int)
 	d.pending = 0
-	d.frontier = d.frontier[:0]
-	d.active = d.active[:0]
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // forkWavefront forks an iters×cols SOR-style dependence grid: thread
@@ -38,8 +39,8 @@ func forkWavefront(d *DepScheduler, grid []int64, iters, cols int) {
 }
 
 // TestDepSchedulerParallelWavefrontMatchesSerial runs the same
-// dependence grid through the serial executor and the parallel
-// wavefront executor and requires identical results.
+// wavefront-shaped dependence grid through the serial executor and the
+// parallel dataflow executor and requires identical results.
 func TestDepSchedulerParallelWavefrontMatchesSerial(t *testing.T) {
 	const iters, cols = 7, 23
 	serial := make([]int64, iters*cols)
@@ -136,6 +137,91 @@ func TestDepSchedulerParallelReuse(t *testing.T) {
 		}
 		if grid[iters*cols-1] == 0 {
 			t.Fatalf("round %d: last cell never computed", round)
+		}
+	}
+}
+
+// TestDepSchedulerParallelNoBarrier pins the executor's liveness: chain
+// A's first thread blocks until chain B's second thread has run. With two
+// workers one holds a1 while the other must run b1 and then b2; an
+// executor that ran b2 only after a batch holding a1 completed (a wave
+// barrier) would never let a1 finish, which a1's timeout reports.
+func TestDepSchedulerParallelNoBarrier(t *testing.T) {
+	d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: 2})
+	defer d.Close()
+	b2ran := make(chan struct{})
+	var timedOut atomic.Bool
+	a1 := d.Fork(func(int, int) {
+		select {
+		case <-b2ran:
+		case <-time.After(10 * time.Second):
+			timedOut.Store(true)
+		}
+	}, 0, 0, 0, 0, 0)
+	d.Fork(func(int, int) {}, 1, 0, 0, 0, 0, a1)
+	b1 := d.Fork(func(int, int) {}, 2, 0, 1<<12, 0, 0)
+	d.Fork(func(int, int) { close(b2ran) }, 3, 0, 1<<12, 0, 0, b1)
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatal("a1 waited out its timeout: b2 could not run while a1 was running")
+	}
+}
+
+// TestDepSchedulerParallelRandomDAGStress runs random DAGs at worker
+// counts below, at, and above the DAG's typical width, in both ready-set
+// orders, and checks through atomic flags that every thread runs exactly
+// once and only after all of its predecessors finished.
+func TestDepSchedulerParallelRandomDAGStress(t *testing.T) {
+	const n = 2000
+	for _, workers := range []int{2, 3, 8} {
+		for _, critical := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(workers)*7 + 1))
+			d := NewDep(Config{CacheSize: 1 << 20, BlockSize: 1 << 12,
+				Workers: workers, CriticalPathFirst: critical})
+			for round := 0; round < 3; round++ {
+				runs := make([]atomic.Int32, n)
+				finished := make([]atomic.Bool, n)
+				var early atomic.Int32
+				for i := 0; i < n; i++ {
+					var pre []ThreadID
+					// Mostly short-range edges (chains), some long-range
+					// (joins across the DAG), some roots.
+					for k := rng.Intn(4); k > 0 && i > 0; k-- {
+						back := 1 + rng.Intn(8)
+						if rng.Intn(5) == 0 {
+							back = 1 + rng.Intn(i)
+						}
+						if back <= i {
+							pre = append(pre, ThreadID(i-back))
+						}
+					}
+					i := i
+					d.Fork(func(int, int) {
+						for _, p := range pre {
+							if !finished[p].Load() {
+								early.Add(1)
+							}
+						}
+						runs[i].Add(1)
+						finished[i].Store(true)
+					}, i, 0, uint64(rng.Intn(32))<<12, 0, 0, pre...)
+				}
+				if err := d.Run(); err != nil {
+					t.Fatalf("workers=%d critical=%v round %d: %v", workers, critical, round, err)
+				}
+				if e := early.Load(); e != 0 {
+					t.Fatalf("workers=%d critical=%v: %d threads started before a predecessor finished",
+						workers, critical, e)
+				}
+				for i := range runs {
+					if r := runs[i].Load(); r != 1 {
+						t.Fatalf("workers=%d critical=%v: thread %d ran %d times", workers, critical, i, r)
+					}
+				}
+			}
+			d.Close()
 		}
 	}
 }

@@ -15,9 +15,8 @@ import (
 //	sched.steals            successful segment steals, per thief worker
 //	sched.segment_drain_ns  time to drain one contiguous segment (initial or stolen)
 //	sched.tour_overflow     tour builds that saw a block coordinate ≥ 2^curveBits
-//	dep.waves               wavefront rounds executed by DepScheduler.Run
-//	dep.frontier            runnable-frontier size per wave (histogram)
-//	dep.wave_ns             wall time per wave (histogram)
+//	dep.idle_ns             parallel DepScheduler worker park time (histogram, one sample per park)
+//	dep.published           threads handed to the parallel DepScheduler's shared ready set
 //
 // With a multi-level Topology, hierarchical dispatch additionally splits
 // the steal and drain traffic per cache level (l0 innermost):
@@ -146,12 +145,11 @@ func (m *schedObs) span(worker int, name string) obs.Span {
 	return m.o.Timeline().Begin(worker, name)
 }
 
-// depObs is the DepScheduler's wavefront instrumentation.
+// depObs is the DepScheduler's parallel-executor instrumentation.
 type depObs struct {
-	o        *obs.Obs
-	waves    *obs.Counter
-	frontier *obs.Histogram
-	waveNS   *obs.Histogram
+	o         *obs.Obs
+	idleNS    *obs.Histogram
+	published *obs.Counter
 }
 
 func newDepObs(o *obs.Obs) depObs {
@@ -160,9 +158,8 @@ func newDepObs(o *obs.Obs) depObs {
 	}
 	r := o.Registry()
 	return depObs{
-		o:        o,
-		waves:    r.Counter("dep.waves"),
-		frontier: r.Histogram("dep.frontier"),
-		waveNS:   r.Histogram("dep.wave_ns"),
+		o:         o,
+		idleNS:    r.Histogram("dep.idle_ns"),
+		published: r.Counter("dep.published"),
 	}
 }

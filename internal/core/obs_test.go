@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"threadsched/internal/obs"
 )
@@ -99,37 +101,49 @@ func TestTourOverflowCounter(t *testing.T) {
 	}
 }
 
-// TestDepSchedulerObservedWaves checks the wavefront metrics: a chain of
-// dependent threads across two bins must report its waves and frontier
-// sizes.
-func TestDepSchedulerObservedWaves(t *testing.T) {
+// TestDepSchedulerObservedDataflow checks the parallel executor's
+// metrics on a fan-out: a root readies four leaves, one of which runs on
+// the root's worker while three go through the shared ready set, so
+// dep.published counts the seeded root plus those three. The root holds
+// its worker until the other worker has parked, so dep.idle_ns records
+// at least one park.
+func TestDepSchedulerObservedDataflow(t *testing.T) {
 	o := obs.New(2)
 	d := NewDep(Config{Workers: 2, BlockSize: 1 << 12, Obs: o})
 	defer d.Close()
-	ran := make([]bool, 8)
-	var prev ThreadID
-	for i := 0; i < 8; i++ {
-		i := i
-		deps := []ThreadID{}
-		if i > 0 {
-			deps = append(deps, prev)
+	parked := func() bool {
+		d.flow.mu.Lock()
+		defer d.flow.mu.Unlock()
+		return d.flow.idle > 0
+	}
+	ran := make([]atomic.Bool, 5)
+	root := d.Fork(func(int, int) {
+		for deadline := time.Now().Add(10 * time.Second); !parked(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the second worker never parked")
+				break
+			}
 		}
-		prev = d.Fork(func(int, int) { ran[i] = true }, i, 0, uint64(i%2)<<12, 0, 0, deps...)
+		ran[0].Store(true)
+	}, 0, 0, 0, 0, 0)
+	for i := 1; i < 5; i++ {
+		i := i
+		d.Fork(func(int, int) { ran[i].Store(true) }, i, 0, uint64(i%2)<<12, 0, 0, root)
 	}
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range ran {
-		if !r {
+	for i := range ran {
+		if !ran[i].Load() {
 			t.Fatalf("thread %d did not run", i)
 		}
 	}
 	snap := d.Snapshot()
-	if c, ok := snapCounter(snap, "dep.waves"); !ok || c.Total != 8 {
-		t.Errorf("dep.waves = %+v, want 8 (chain forces one thread per wave)", c)
+	if c, ok := snapCounter(snap, "dep.published"); !ok || c.Total != 4 {
+		t.Errorf("dep.published = %+v, want 4 (seeded root + 3 of 4 leaves)", c)
 	}
-	if h, ok := snapHistogram(snap, "dep.frontier"); !ok || h.Count != 8 || h.Max != 1 {
-		t.Errorf("dep.frontier = %+v, want 8 observations of 1", h)
+	if h, ok := snapHistogram(snap, "dep.idle_ns"); !ok || h.Count == 0 {
+		t.Errorf("dep.idle_ns = %+v, want at least one park", h)
 	}
 }
 

@@ -25,14 +25,14 @@ type ThreadPanicError struct {
 	Value any
 	// Phase names the execution path: "run" (Scheduler.RunContext, serial
 	// or parallel dispatch), "run-each" (RunEachContext), "dep-run"
-	// (DepScheduler serial drain), or "wave" (DepScheduler wavefront).
+	// (DepScheduler serial drain), or "dataflow" (DepScheduler parallel
+	// executor).
 	Phase string
 	// Worker is the worker index that executed the thread; 0 is the
 	// goroutine that called Run.
 	Worker int
 	// Bin locates the thread's bin: the tour index for Scheduler runs,
-	// the drain order index for "dep-run", or the position in the wave's
-	// runnable bin list for "wave".
+	// or the bin's allocation index for "dep-run" and "dataflow".
 	Bin int
 	// Thread identifies the thread within the bin: its fork-order index
 	// for Scheduler runs, or its ThreadID for DepScheduler runs.

@@ -223,17 +223,3 @@ func (t *binTree) childRange(l, blo, bhi int) (int, int) {
 	hi := sort.SearchInts(s, bhi)
 	return lo, hi
 }
-
-// startsToRanges converts PartitionWeights output into segRanges over n
-// items, for the code paths that still speak the flat format.
-func startsToRanges(starts []int, n int) []segRange {
-	segs := make([]segRange, len(starts))
-	for i := range starts {
-		hi := n
-		if i+1 < len(starts) {
-			hi = starts[i+1]
-		}
-		segs[i] = segRange{starts[i], hi}
-	}
-	return segs
-}

@@ -398,3 +398,17 @@ func TestDetachUpperConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// startsToRanges converts PartitionWeights output into segRanges over n
+// items, the flat partition the tree assignment is compared against.
+func startsToRanges(starts []int, n int) []segRange {
+	segs := make([]segRange, len(starts))
+	for i := range starts {
+		hi := n
+		if i+1 < len(starts) {
+			hi = starts[i+1]
+		}
+		segs[i] = segRange{starts[i], hi}
+	}
+	return segs
+}
