@@ -23,9 +23,10 @@
 #                  address-sliced parallel simulation falls below its
 #                  serial baseline at >=2 workers (skips on 1-CPU hosts)
 #   make guard-tree — the opt-in hierarchical-dispatch tripwire: fails if
-#                  routing a parallel run through the topology bin tree
-#                  falls below the flat segmented dispatcher on the same
-#                  workload (skips on 1-CPU hosts)
+#                  a multi-level topology falls below the flat (nil
+#                  topology, one-level tree) dispatch on the same
+#                  workload in most of 31 interleaved pairs (skips on
+#                  1-CPU hosts)
 #   make bench   — one pass over every benchmark (smoke, not measurement)
 #   make bench-core — the fork/run pipeline benchmarks with real counts
 #   make bench-sim  — the simulation-pipeline benchmarks; writes a
@@ -107,9 +108,11 @@ guard-pipeline:
 guard-replay:
 	GUARD_REPLAY=1 $(GO) test -run TestGuardReplayThroughput -count=1 -timeout 20m -v ./internal/harness/
 
-# Opt-in hierarchical-dispatch guard: the bin-tree dispatcher must not
-# fall below the flat segmented dispatcher on the same skewed workload.
-# Needs a multicore host (skips otherwise).
+# Opt-in hierarchical-dispatch guard: a multi-level topology must not
+# fall below the flat (nil topology) dispatch on the same skewed
+# workload. It times 31 back-to-back flat/tree pairs and fails only when
+# the upper quartile of the tree/flat ratios is below 0.95. Needs a
+# multicore host (skips otherwise).
 guard-tree:
 	GUARD_TREE=1 $(GO) test -run TestGuardTreeThroughput -count=1 -v ./internal/core/
 

@@ -409,13 +409,15 @@ func BenchmarkParallelFork(b *testing.B) {
 	}
 }
 
-// BenchmarkPartitionedRun compares the two parallel dispatch policies:
-// contiguous weighted tour segments with chunked stealing (the default)
-// against the legacy shared atomic counter. Native wall time is reported
-// per policy; the smp sub-benchmark reports the simulated coherence
-// traffic delta, which is the effect wall time on a real multicore
-// follows (segment dispatch keeps tour neighbours — and the read-mostly
-// data they share — on one cache).
+// BenchmarkPartitionedRun measures the parallel dispatcher flat (no
+// topology: the one-level bin tree of contiguous weighted tour segments
+// with half-steals) and under a two-level topology (L1 pairs inside one
+// shared cache: narrow sibling steals, wide subtree steals). Native wall
+// time is reported per shape; the smp sub-benchmark reports the
+// simulated coherence traffic of segment dispatch against the
+// one-bin-at-a-time scatter baseline, which is the effect wall time on a
+// real multicore follows (segment dispatch keeps tour neighbours — and
+// the read-mostly data they share — on one cache).
 func BenchmarkPartitionedRun(b *testing.B) {
 	const (
 		bins    = 64
@@ -435,10 +437,14 @@ func BenchmarkPartitionedRun(b *testing.B) {
 		}
 		sink[a1] = s
 	}
-	for _, d := range []core.Dispatch{core.DispatchSegmented, core.DispatchAtomic} {
-		b.Run(d.String(), func(b *testing.B) {
+	for _, shape := range []struct{ name, spec string }{{"flat", ""}, {"tree", "64k:2,512k:4"}} {
+		topo, err := core.ParseTopology(shape.spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name, func(b *testing.B) {
 			s := core.New(core.Config{CacheSize: 1 << 20, BlockSize: 1 << 13,
-				Workers: 4, Dispatch: d})
+				Workers: 4, Topology: topo})
 			defer s.Close()
 			for bi := 0; bi < bins; bi++ {
 				// Skewed occupancy: low bins hold more threads, so the

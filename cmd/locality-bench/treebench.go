@@ -11,21 +11,21 @@ import (
 	"threadsched/internal/obs"
 )
 
-// The hierarchical dispatch sweep recorded into BENCH_CORE (schema v2).
+// The hierarchical dispatch sweep recorded into BENCH_CORE (schema v3).
 // Unlike the table experiments, which run the trace-driven simulator,
 // this measures the scheduler's own dispatch layer live on the host: the
-// same skewed fork workload runs through the flat segmented dispatcher
-// and through the bin tree under each topology, at several worker
-// counts, recording threads/sec plus the per-level steal counters the
-// tree dispatcher splits out (sched.steals.l0 innermost). Flat rows have
-// topology "flat" and no per-level split; they are the baseline the
-// guard-tree tripwire compares against.
+// same skewed fork workload runs through the bin tree dispatcher with no
+// topology (the one-level tree, i.e. flat) and under each multi-level
+// topology, at several worker counts, recording threads/sec plus the
+// per-level steal counters the tree dispatcher splits out
+// (sched.steals.l0 innermost). Flat rows have topology "flat" and no
+// per-level split; they are the baseline the guard-tree tripwire
+// compares against.
 
 // topoSweepEntry is one (topology, workers) measurement.
 type topoSweepEntry struct {
 	Topology      string  `json:"topology"`
 	Workers       int     `json:"workers"`
-	StealChunk    int     `json:"steal_chunk"`
 	Threads       int     `json:"threads"`
 	WallNS        int64   `json:"wall_ns"`
 	ThreadsPerSec float64 `json:"threads_per_sec"`
@@ -58,9 +58,8 @@ func sweepThreads(size string) int {
 var defaultSweepTopologies = []string{"64k:2,2m:8", "32k:2,256k:4,2m:16"}
 
 // runTopoSweep measures the hierarchical dispatch sweep. topoSpec, when
-// non-empty and not "flat", replaces the default topology list;
-// stealChunk (0 = scheduler default) applies to every run.
-func runTopoSweep(size, topoSpec string, stealChunk int, prog harness.Progress) ([]topoSweepEntry, error) {
+// non-empty and not "flat", replaces the default topology list.
+func runTopoSweep(size, topoSpec string, prog harness.Progress) ([]topoSweepEntry, error) {
 	topos := defaultSweepTopologies
 	if s := strings.TrimSpace(topoSpec); s != "" && !strings.EqualFold(s, "flat") {
 		topos = []string{s}
@@ -86,7 +85,7 @@ func runTopoSweep(size, topoSpec string, stealChunk int, prog harness.Progress) 
 			return nil, fmt.Errorf("topology %q: %v", spec, err)
 		}
 		for _, w := range workerCounts {
-			e, err := measureTopo(topo, w, stealChunk, n)
+			e, err := measureTopo(topo, w, n)
 			if err != nil {
 				return nil, err
 			}
@@ -100,23 +99,19 @@ func runTopoSweep(size, topoSpec string, stealChunk int, prog harness.Progress) 
 }
 
 // measureTopo is one best-of-3 dispatch measurement.
-func measureTopo(topo *core.Topology, workers, stealChunk, n int) (topoSweepEntry, error) {
+func measureTopo(topo *core.Topology, workers, n int) (topoSweepEntry, error) {
 	data := make([]int64, 1<<16) // read-shared
 	sink := make([]int64, n)     // disjoint per-thread write slots
 	e := topoSweepEntry{Topology: topo.String(), Workers: workers, Threads: n}
 	for rep := 0; rep < 3; rep++ {
 		o := obs.New(workers)
 		s := core.New(core.Config{
-			CacheSize:  2 << 20,
-			BlockSize:  1 << 14,
-			Workers:    workers,
-			StealChunk: stealChunk,
-			Topology:   topo,
-			Obs:        o,
+			CacheSize: 2 << 20,
+			BlockSize: 1 << 14,
+			Workers:   workers,
+			Topology:  topo,
+			Obs:       o,
 		})
-		if rep == 0 {
-			e.StealChunk = stealChunkInEffect(topo, stealChunk)
-		}
 		for i := 0; i < n; i++ {
 			s.Fork(func(a1, _ int) {
 				base := (a1 * 61) & (len(data) - 64)
@@ -138,20 +133,6 @@ func measureTopo(topo *core.Topology, workers, stealChunk, n int) (topoSweepEntr
 		}
 	}
 	return e, nil
-}
-
-// stealChunkInEffect reports the innermost-level chunk the run uses, for
-// the record.
-func stealChunkInEffect(topo *core.Topology, configured int) int {
-	if topo != nil {
-		if c := topo.Level(0).StealChunk; c > 0 {
-			return c
-		}
-	}
-	if configured > 0 {
-		return configured
-	}
-	return core.DefaultStealChunk
 }
 
 // fillStealCounters extracts the flat and per-level steal counters (and

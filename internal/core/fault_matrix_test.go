@@ -13,8 +13,8 @@ import (
 
 // The fault-injection matrix: a deterministic injected panic at the
 // first, middle, and last thread of a run, across every execution path —
-// serial, segmented parallel, atomic parallel, dependence-serial, and
-// dataflow — must be contained into a typed error, quiesce without
+// serial, flat parallel (the one-level bin tree), multi-level bin tree,
+// dependence-serial, and dataflow — must be contained into a typed error, quiesce without
 // leaking goroutines, and leave the scheduler reusable. These tests are
 // part of the -race suite; the detector verifies the containment paths
 // carry the same happens-before edges as normal completion.
@@ -87,17 +87,23 @@ func depVariant(name string, cfg Config) matrixVariant {
 	}}
 }
 
+// matrixTopology is the multi-level shape of the "tree" variant: with
+// 4 KB blocks (12 KB per bin) each L1 bubble is one bin and each 64 KB
+// bubble five, and 4 workers split into two L1 pairs, so stealTree's
+// narrow (level 0) and wide (level 1) steals are both in play.
+var matrixTopology, _ = ParseTopology("8k:2,64k:4")
+
 func matrixVariants() []matrixVariant {
 	base := Config{CacheSize: 1 << 20, BlockSize: 1 << 12}
-	seg, atm, flow := base, base, base
+	seg, tree, flow := base, base, base
 	seg.Workers = 4
-	atm.Workers = 4
-	atm.Dispatch = DispatchAtomic
+	tree.Workers = 4
+	tree.Topology = matrixTopology
 	flow.Workers = 4
 	return []matrixVariant{
 		schedVariant("serial", base),
 		schedVariant("segmented", seg),
-		schedVariant("atomic", atm),
+		schedVariant("tree", tree),
 		depVariant("dep-serial", base),
 		depVariant("dataflow", flow),
 	}
@@ -157,10 +163,15 @@ func TestNoInjectionMatrix(t *testing.T) {
 
 // TestCancellationMidTour: a context cancelled from inside a thread stops
 // every path at its next bin boundary — some threads ran, not all, the
-// error is ctx.Err(), and the pool quiesces.
+// error is ctx.Err(), and the pool quiesces. The 4-worker runs cover the
+// flat (nil topology) and the multi-level bin tree.
 func TestCancellationMidTour(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: w})
+	for _, c := range []struct {
+		w    int
+		topo *Topology
+	}{{1, nil}, {4, nil}, {4, matrixTopology}} {
+		w := c.w
+		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: w, Topology: c.topo})
 		ctx, cancel := context.WithCancel(context.Background())
 		before := stableGoroutines()
 		var ran atomic.Int64
@@ -175,17 +186,17 @@ func TestCancellationMidTour(t *testing.T) {
 		}
 		err := s.RunContext(ctx, false)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", w, err)
+			t.Fatalf("workers=%d topo=%v: err = %v, want context.Canceled", w, c.topo, err)
 		}
 		if n := ran.Load(); n == 0 || n == matrixThreads {
-			t.Fatalf("workers=%d: ran %d threads; cancellation did not stop mid-tour", w, n)
+			t.Fatalf("workers=%d topo=%v: ran %d threads; cancellation did not stop mid-tour", w, c.topo, n)
 		}
 		// Reusable afterwards with a live context.
 		ok := false
 		s.Init(0, 0)
 		s.Fork(func(int, int) { ok = true }, 0, 0, 0, 0, 0)
 		if rerr := s.RunContext(context.Background(), false); rerr != nil || !ok {
-			t.Fatalf("workers=%d: unusable after cancelled run: %v", w, rerr)
+			t.Fatalf("workers=%d topo=%v: unusable after cancelled run: %v", w, c.topo, rerr)
 		}
 		s.Close()
 		checkGoroutines(t, "cancel", before)

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,6 +59,25 @@ func TestSchedulerObservedParallelRun(t *testing.T) {
 	}
 	if _, ok := snapCounter(snap, "sched.steals"); !ok {
 		t.Error("sched.steals counter not registered")
+	}
+	// A nil-topology run is the one-level tree, but it registers exactly
+	// the flat metric set: no per-level sched.*.l<N> and no
+	// sched.tree_nodes.* metric.
+	var names []string
+	for _, c := range snap.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range snap.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range snap.Histograms {
+		names = append(names, h.Name)
+	}
+	sort.Strings(names)
+	want := []string{"sched.bins_run", "sched.segment_drain_ns", "sched.steals",
+		"sched.threads_run", "sched.tour_overflow"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("flat run metrics = %v, want exactly %v", names, want)
 	}
 
 	var buf bytes.Buffer

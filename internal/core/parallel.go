@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -11,12 +10,17 @@ import (
 // one at a time from a shared counter — the obvious dispatch — therefore
 // deals neighbouring bins to *different* workers, destroying exactly the
 // cross-bin adjacency the tour was built to exploit and maximizing the
-// read-mostly data shared between caches. Instead the tour is cut into
-// contiguous segments, one per worker, weighted by thread count; a worker
-// that drains its segment steals the upper half of the largest remaining
-// segment, so even rebalanced work is a contiguous tour run. This is the
-// hierarchy-aware distribution BubbleSched-style schedulers apply to task
-// trees, specialized to the paper's 1-D bin tour.
+// read-mostly data shared between caches (the smp package simulates that
+// scatter baseline). Instead the tour is cut into contiguous segments,
+// one per worker, weighted by thread count; a worker that drains its
+// segment steals from another, so even rebalanced work is a contiguous
+// tour run. There is one dispatcher, the bin tree of tree_dispatch.go:
+// without a Config.Topology it is the one-level tree, whose cut is
+// PartitionWeights over bins and whose every steal takes the upper half
+// of the largest remaining segment. This is the hierarchy-aware
+// distribution BubbleSched-style schedulers apply to task trees, with
+// the flat scheduler as its one-level case, specialized to the paper's
+// 1-D bin tour.
 
 // PartitionWeights cuts n weighted items into at most parts contiguous
 // segments of near-equal total weight, returning each segment's start
@@ -78,29 +82,14 @@ func packRange(lo, hi int) uint64 { return uint64(uint32(lo))<<32 | uint64(uint3
 
 func unpackRange(v uint64) (lo, hi int) { return int(int32(v >> 32)), int(int32(v)) }
 
-// next claims the segment's lowest unclaimed index.
-func (g *binSegment) next() (int, bool) {
-	for {
-		v := g.bounds.Load()
-		lo, hi := unpackRange(v)
-		if lo >= hi {
-			return 0, false
-		}
-		if g.bounds.CompareAndSwap(v, packRange(lo+1, hi)) {
-			return lo, true
-		}
-	}
-}
-
 // take claims a contiguous run of the segment's lowest unclaimed indexes:
-// an eighth of the remainder, at least one, at most chunk (the
-// Config.StealChunk knob, or the owning level's override under a
-// hierarchical topology). Batching the claim cuts dispatch to one atomic
-// per chunk of bins while leaving the bulk of the segment in the shared
-// word where stealHalf can still get at it — claimed bins are the
-// owner's, exactly as if next() had claimed them one by one. A small
-// chunk keeps the work exposed to thieves shrinking in fine steps near
-// the end of a run; a large one amortizes the CAS over longer runs.
+// an eighth of the remainder, at least one, at most chunk (stealChunk in
+// the dispatcher). Batching the claim cuts dispatch to one atomic per
+// chunk of bins while leaving the bulk of the segment in the shared word
+// where thieves can still get at it — claimed bins are the owner's,
+// exactly as if they had been claimed one by one. A small chunk keeps the
+// work exposed to thieves shrinking in fine steps near the end of a run;
+// a large one amortizes the CAS over longer runs.
 func (g *binSegment) take(chunk int) (lo, hi int, ok bool) {
 	for {
 		v := g.bounds.Load()
@@ -157,142 +146,6 @@ func (g *binSegment) detachUpper(compute func(lo, hi int) int) (lo, hi int, ok b
 			return cut, h, true
 		}
 	}
-}
-
-// runParallel executes bins across Workers goroutines; each bin runs
-// entirely on one worker so the per-bin working set still fits one cache.
-// Containment and cancellation are cooperative: every worker checks the
-// shared runControl once per bin, so a panic on one worker (recovered
-// into the control) or an expired ctx stops the whole pool at bin
-// granularity, after which fanOut's barrier guarantees quiescence.
-func (s *Scheduler) runParallel(ctx context.Context, order []*bin) error {
-	workers := s.cfg.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	ctrl := newRunControl(ctx)
-	switch {
-	case s.cfg.Dispatch == DispatchAtomic:
-		s.runAtomic(order, workers, ctrl)
-	case s.cfg.Topology != nil:
-		// Hierarchical dispatch: tree-aligned segments with per-level
-		// stealing. A 1-level topology reproduces the flat segmented
-		// dispatch exactly (see tree.go and tree_dispatch.go).
-		s.runTree(order, workers, ctrl)
-	default:
-		s.runSegmented(order, workers, ctrl)
-	}
-	return ctrl.err()
-}
-
-// runSegmented is the default dispatch: weighted contiguous tour segments
-// plus chunked stealing. With observability attached, each contiguous
-// drain (the initial segment and every stolen refill) is timed into
-// sched.segment_drain_ns and spanned on the worker's timeline track, and
-// sched.steals counts successful refills per thief.
-func (s *Scheduler) runSegmented(order []*bin, workers int, ctrl *runControl) {
-	weights := make([]int, len(order))
-	for i, b := range order {
-		weights[i] = b.threads
-	}
-	starts := PartitionWeights(weights, workers)
-	segs := make([]binSegment, len(starts))
-	for i := range segs {
-		hi := len(order)
-		if i+1 < len(starts) {
-			hi = starts[i+1]
-		}
-		segs[i].bounds.Store(packRange(starts[i], hi))
-	}
-	chunk := s.cfg.StealChunk
-	s.fanOut(len(segs), "run", func(self int) {
-		for {
-			start := s.met.now()
-			sp := s.met.span(self, "drain")
-			bins, threads := 0, 0
-			for !ctrl.halted() {
-				lo, hi, ok := segs[self].take(chunk)
-				if !ok {
-					break
-				}
-				for i := lo; i < hi && !ctrl.halted(); i++ {
-					n, perr := s.runBinContained(order[i], i, self, "run")
-					threads += n
-					bins++
-					if perr != nil {
-						ctrl.record(perr)
-						break
-					}
-				}
-			}
-			s.met.threadsRun.Add(self, uint64(threads))
-			s.met.drainDone(self, start, bins, sp)
-			if ctrl.halted() {
-				return
-			}
-			if !stealInto(segs, self, ctrl) {
-				return
-			}
-			s.met.steals.Inc(self)
-		}
-	})
-}
-
-// stealInto moves half of the largest remaining segment into segs[self]
-// (which the caller has drained). Only the slot's owner refills it, so a
-// worker that returns false and exits leaves its slot empty forever and
-// every non-empty slot still has an active owner — that is what makes
-// "no victim with more than one bin left" a safe exit condition. The
-// rescan loop re-checks the run control so a cancelled or panicked run
-// cannot keep a thief spinning against racing victims past the halt.
-func stealInto(segs []binSegment, self int, ctrl *runControl) bool {
-	for !ctrl.halted() {
-		victim, best := -1, 1
-		for i := range segs {
-			if i == self {
-				continue
-			}
-			if r := segs[i].remaining(); r > best {
-				victim, best = i, r
-			}
-		}
-		if victim < 0 {
-			return false
-		}
-		if lo, hi, ok := segs[victim].stealHalf(); ok {
-			segs[self].bounds.Store(packRange(lo, hi))
-			return true
-		}
-		// Lost the race to the victim's own progress; rescan.
-	}
-	return false
-}
-
-// runAtomic is the legacy dispatch kept as a comparison baseline: workers
-// claim bins one at a time from a shared counter, so tour neighbours land
-// on different workers.
-func (s *Scheduler) runAtomic(order []*bin, workers int, ctrl *runControl) {
-	var next int64 = -1
-	s.fanOut(workers, "run", func(self int) {
-		start := s.met.now()
-		sp := s.met.span(self, "atomic-drain")
-		bins, threads := 0, 0
-		for !ctrl.halted() {
-			i := atomic.AddInt64(&next, 1)
-			if i >= int64(len(order)) {
-				break
-			}
-			n, perr := s.runBinContained(order[i], int(i), self, "run")
-			threads += n
-			bins++
-			if perr != nil {
-				ctrl.record(perr)
-				break
-			}
-		}
-		s.met.threadsRun.Add(self, uint64(threads))
-		s.met.drainDone(self, start, bins, sp)
-	})
 }
 
 // fanOut runs fn(0..n-1) concurrently: fn(0) on the calling goroutine and

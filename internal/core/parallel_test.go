@@ -105,13 +105,14 @@ func TestShardedForkMatchesSerialBinning(t *testing.T) {
 	}
 }
 
-// TestParallelRunWorkerCounts runs both dispatch policies at worker
-// counts {2, 4, NumCPU} and checks every thread runs exactly once.
+// TestParallelRunWorkerCounts runs the flat (nil topology) and a
+// multi-level bin tree at worker counts {2, 4, NumCPU} and checks every
+// thread runs exactly once.
 func TestParallelRunWorkerCounts(t *testing.T) {
 	workerCounts := []int{2, 4, runtime.NumCPU()}
 	for _, w := range workerCounts {
-		for _, d := range []Dispatch{DispatchSegmented, DispatchAtomic} {
-			s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: w, Dispatch: d})
+		for _, spec := range []string{"flat", "8k:2,64k:4"} {
+			s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: w, Topology: mustTopo(t, spec)})
 			const n = 4000
 			counts := make([]int32, n)
 			for i := 0; i < n; i++ {
@@ -124,7 +125,7 @@ func TestParallelRunWorkerCounts(t *testing.T) {
 			s.Close()
 			for i, c := range counts {
 				if c != 1 {
-					t.Fatalf("workers=%d dispatch=%v: thread %d ran %d times", w, d, i, c)
+					t.Fatalf("workers=%d topology=%s: thread %d ran %d times", w, spec, i, c)
 				}
 			}
 		}

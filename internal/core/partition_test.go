@@ -103,8 +103,8 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	if r := seg.remaining(); r != 7 {
 		t.Fatalf("remaining = %d, want 7", r)
 	}
-	if i, ok := seg.next(); !ok || i != 3 {
-		t.Fatalf("next = %d,%v", i, ok)
+	if lo, hi, ok := seg.take(1); !ok || lo != 3 || hi != 4 {
+		t.Fatalf("take(1) = [%d,%d),%v", lo, hi, ok)
 	}
 	lo, hi, ok := seg.stealHalf()
 	if !ok || lo != 7 || hi != 10 { // 6 left in [4,10): thief takes [7,10)
@@ -112,11 +112,11 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	}
 	// Owner keeps [4,7).
 	for want := 4; want < 7; want++ {
-		if i, ok := seg.next(); !ok || i != want {
-			t.Fatalf("next = %d,%v, want %d", i, ok, want)
+		if lo, hi, ok := seg.take(1); !ok || lo != want || hi != want+1 {
+			t.Fatalf("take(1) = [%d,%d),%v, want [%d,%d)", lo, hi, ok, want, want+1)
 		}
 	}
-	if _, ok := seg.next(); ok {
+	if _, _, ok := seg.take(1); ok {
 		t.Fatal("segment not exhausted")
 	}
 	// A segment with one remaining index is never stolen.
@@ -126,7 +126,8 @@ func TestBinSegmentClaimAndSteal(t *testing.T) {
 	}
 }
 
-// TestSegmentsClaimEachIndexOnce hammers next/steal from many goroutines
+// TestSegmentsClaimEachIndexOnce hammers take/stealTree from many
+// goroutines, under the one-level (nil) topology and a multi-level one,
 // and verifies exactly-once claiming — the property the whole dispatch
 // rests on.
 func TestSegmentsClaimEachIndexOnce(t *testing.T) {
@@ -136,37 +137,38 @@ func TestSegmentsClaimEachIndexOnce(t *testing.T) {
 	for i := range weights {
 		weights[i] = 1 + i%13
 	}
-	starts := PartitionWeights(weights, workers)
-	segs := make([]binSegment, len(starts))
-	for i := range segs {
-		hi := n
-		if i+1 < len(starts) {
-			hi = starts[i+1]
+	for _, spec := range []string{"flat", "8k:2,64k:4,1m:8"} {
+		tree := buildBinTree(n, 1<<12, mustTopo(t, spec))
+		asn := topoAssign(weights, workers, tree)
+		segs := make([]binSegment, len(asn))
+		for i, r := range asn {
+			segs[i].bounds.Store(packRange(r.lo, r.hi))
 		}
-		segs[i].bounds.Store(packRange(starts[i], hi))
-	}
-	claimed := make([]int32, n)
-	ctrl := newRunControl(context.Background())
-	var wg sync.WaitGroup
-	for w := 0; w < len(segs); w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			for {
-				if i, ok := segs[self].next(); ok {
-					claimed[i]++
-					continue
+		claimed := make([]int32, n)
+		ctrl := newRunControl(context.Background())
+		var wg sync.WaitGroup
+		for w := 0; w < len(segs); w++ {
+			wg.Add(1)
+			go func(self int) {
+				defer wg.Done()
+				for {
+					if lo, hi, ok := segs[self].take(stealChunk); ok {
+						for i := lo; i < hi; i++ {
+							claimed[i]++
+						}
+						continue
+					}
+					if _, _, ok := stealTree(segs, self, workers, tree, ctrl); !ok {
+						return
+					}
 				}
-				if !stealInto(segs, self, ctrl) {
-					return
-				}
+			}(w)
+		}
+		wg.Wait()
+		for i, c := range claimed {
+			if c != 1 {
+				t.Fatalf("topology=%s: index %d claimed %d times", spec, i, c)
 			}
-		}(w)
-	}
-	wg.Wait()
-	for i, c := range claimed {
-		if c != 1 {
-			t.Fatalf("index %d claimed %d times", i, c)
 		}
 	}
 }

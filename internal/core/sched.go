@@ -120,9 +120,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.GroupSize <= 0 {
 		cfg.GroupSize = DefaultGroupSize
 	}
-	if cfg.StealChunk <= 0 {
-		cfg.StealChunk = DefaultStealChunk
-	}
 	s := &Scheduler{cfg: cfg, met: newSchedObs(cfg.Obs, cfg.Topology)}
 	s.Init(cfg.BlockSize, uint64(cfg.HashDim))
 	return s

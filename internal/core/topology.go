@@ -12,8 +12,8 @@ import (
 // caches with level-appropriate stealing. A Topology names the nesting —
 // one TopoLevel per cache level, innermost (L1) first — and the bin tour
 // is grouped into a matching tree of contiguous "bubbles" (see tree.go).
-// A nil Topology, or one with a single level, is the flat linear tour the
-// package always had.
+// A nil Topology, or one with a single level, is the one-level tree: the
+// flat linear tour the package always had, dispatched by the same code.
 
 // TopoLevel describes one cache level of a Topology.
 type TopoLevel struct {
@@ -26,11 +26,6 @@ type TopoLevel struct {
 	// must not decrease outward; the outermost level typically names the
 	// whole machine.
 	Workers int
-	// StealChunk bounds how many bins a single steal at this level may
-	// detach (the narrow-steal width); 0 selects Config.StealChunk. Only
-	// inner levels steal narrowly — the outermost level of a multi-level
-	// topology steals whole subtrees and ignores the chunk.
-	StealChunk int
 }
 
 // Topology is an immutable cache-hierarchy description, innermost level
@@ -54,9 +49,6 @@ func NewTopology(levels ...TopoLevel) (*Topology, error) {
 		if l.Workers < 1 {
 			return nil, fmt.Errorf("core: topology level %d has %d workers (want >= 1)", i, l.Workers)
 		}
-		if l.StealChunk < 0 {
-			return nil, fmt.Errorf("core: topology level %d has negative steal chunk", i)
-		}
 		if i > 0 {
 			if l.Capacity <= levels[i-1].Capacity {
 				return nil, fmt.Errorf("core: topology level %d capacity %d does not exceed level %d capacity %d (levels are innermost-first)",
@@ -72,20 +64,21 @@ func NewTopology(levels ...TopoLevel) (*Topology, error) {
 }
 
 // ParseTopology parses a comma-separated topology spec, innermost level
-// first, each level "capacity:workers" with an optional ":stealchunk"
-// third field. Capacities accept k/m/g suffixes (powers of 1024). For
-// example "32k:2,256k:8,8m:64" is a machine whose 32 KB L1s are shared
-// by 2 workers, 256 KB L2s by 8, and an 8 MB LLC by all 64.
+// first, each level "capacity:workers"; a level with any other number of
+// fields is an error naming that level. Capacities accept k/m/g suffixes
+// (powers of 1024). For example "32k:2,256k:8,8m:64" is a machine whose
+// 32 KB L1s are shared by 2 workers, 256 KB L2s by 8, and an 8 MB LLC by
+// all 64.
 func ParseTopology(spec string) (*Topology, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || strings.EqualFold(spec, "flat") {
 		return nil, nil
 	}
 	var levels []TopoLevel
-	for _, part := range strings.Split(spec, ",") {
+	for i, part := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("core: topology level %q: want capacity:workers[:stealchunk]", part)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("core: topology level %d %q: want capacity:workers", i, part)
 		}
 		capBytes, err := parseSize(fields[0])
 		if err != nil {
@@ -95,15 +88,7 @@ func ParseTopology(spec string) (*Topology, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: topology level %q: bad worker count: %v", part, err)
 		}
-		l := TopoLevel{Capacity: capBytes, Workers: workers}
-		if len(fields) == 3 {
-			chunk, err := strconv.Atoi(strings.TrimSpace(fields[2]))
-			if err != nil {
-				return nil, fmt.Errorf("core: topology level %q: bad steal chunk: %v", part, err)
-			}
-			l.StealChunk = chunk
-		}
-		levels = append(levels, l)
+		levels = append(levels, TopoLevel{Capacity: capBytes, Workers: workers})
 	}
 	return NewTopology(levels...)
 }
@@ -160,9 +145,6 @@ func (t *Topology) String() string {
 		}
 		b.WriteString(formatSize(l.Capacity))
 		fmt.Fprintf(&b, ":%d", l.Workers)
-		if l.StealChunk > 0 {
-			fmt.Fprintf(&b, ":%d", l.StealChunk)
-		}
 	}
 	return b.String()
 }
@@ -208,18 +190,4 @@ func (t *Topology) sharedLevel(a, b, workers int) int {
 		}
 	}
 	return last
-}
-
-// stealChunkAt is the narrow-steal width at level i: the level's own
-// StealChunk if set, else the scheduler-wide fallback.
-func (t *Topology) stealChunkAt(i, fallback int) int {
-	if t != nil {
-		if c := t.levels[i].StealChunk; c > 0 {
-			return c
-		}
-	}
-	if fallback > 0 {
-		return fallback
-	}
-	return DefaultStealChunk
 }

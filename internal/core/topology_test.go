@@ -15,7 +15,6 @@ func TestParseTopology(t *testing.T) {
 		{"32k:2,256k:8,8m:64", "32k:2,256k:8,8m:64", 3},
 		{"  32k:2 , 256k:8 ", "32k:2,256k:8", 2},
 		{"4096:1", "4k:1", 1},
-		{"1m:4:8", "1m:4:8", 1}, // per-level chunk survives the round trip
 		{"2g:128", "2g:128", 1},
 		{"32k:2,32k:4", "", 0},  // capacity must strictly increase
 		{"256k:8,32k:2", "", 0}, // innermost-first ordering enforced
@@ -24,6 +23,8 @@ func TestParseTopology(t *testing.T) {
 		{"0:2", "", 0},
 		{"32k", "", 0},
 		{"32k:2:3:4", "", 0},
+		{"1m:4:8", "", 0},            // no third per-level field
+		{"32k:2:4,256k:8:16", "", 0}, // in any level
 		{"32q:2", "", 0},
 		{"32k:two", "", 0},
 	}
@@ -46,6 +47,10 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("ParseTopology(%q).Levels() = %d, want %d", c.spec, topo.Levels(), c.levels)
 		}
 	}
+	// The error for a malformed level names that level.
+	if _, err := ParseTopology("32k:2,256k:8:16"); err == nil || !strings.Contains(err.Error(), `level 1 "256k:8:16"`) {
+		t.Errorf("three-field level: err = %v, want level 1 named", err)
+	}
 }
 
 // TestParseTopologyFlat maps the empty and "flat" specs to the nil
@@ -66,12 +71,6 @@ func TestParseTopologyFlat(t *testing.T) {
 	}
 	if l := topo.Level(0); l.Capacity != ^uint64(0) {
 		t.Fatalf("nil Level(0) = %+v", l)
-	}
-	if got := topo.stealChunkAt(0, 0); got != DefaultStealChunk {
-		t.Fatalf("nil stealChunkAt = %d, want %d", got, DefaultStealChunk)
-	}
-	if got := topo.stealChunkAt(0, 7); got != 7 {
-		t.Fatalf("nil stealChunkAt(fallback 7) = %d", got)
 	}
 }
 
@@ -101,20 +100,13 @@ func TestTopologyClustering(t *testing.T) {
 			t.Errorf("sharedLevel(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if got := topo.stealChunkAt(0, 5); got != 5 {
-		t.Errorf("stealChunkAt fallback = %d, want 5", got)
-	}
-	withChunk, err := ParseTopology("32k:2:3,256k:4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := withChunk.stealChunkAt(0, 5); got != 3 {
-		t.Errorf("per-level stealChunkAt = %d, want 3", got)
-	}
 }
 
 // TestNewTopologyErrorsName verifies validation errors identify the level.
 func TestNewTopologyErrorsName(t *testing.T) {
+	if _, err := ParseTopology("32k:2,256k:8:16"); err == nil || !strings.Contains(err.Error(), `level 1 "256k:8:16"`) {
+		t.Fatalf("err = %v, want the three-field level named", err)
+	}
 	_, err := NewTopology(TopoLevel{Capacity: 1 << 15, Workers: 2}, TopoLevel{Capacity: 1 << 14, Workers: 4})
 	if err == nil || !strings.Contains(err.Error(), "level 1") {
 		t.Fatalf("err = %v, want mention of level 1", err)

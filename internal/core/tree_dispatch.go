@@ -1,19 +1,17 @@
 package core
 
-// Hierarchical parallel dispatch. The flat segmented dispatcher cuts the
-// bin tour into one contiguous segment per worker and rebalances by
-// halving the largest remaining segment — a single-level policy. With a
-// multi-level Config.Topology, the tour is first grouped into the bin
-// tree (tree.go): initial segments are cut along subtree boundaries so
-// every worker cluster sharing a cache walks whole bubbles, and an idle
-// worker steals by tree distance — nearest victims first, with a width
-// policy per level:
+import "context"
+
+// Hierarchical parallel dispatch, the one parallel Run path. The tour is
+// grouped into the bin tree of Config.Topology (tree.go): initial
+// segments are cut along subtree boundaries so every worker cluster
+// sharing a cache walks whole bubbles, and an idle worker steals by tree
+// distance — nearest victims first, with a width policy per level:
 //
 //   - innermost level (victim shares the thief's L1 cluster): steal
-//     narrow — a chunk of at most the level's StealChunk bins off the
-//     victim's tail, so siblings fine-tune load without evicting each
-//     other's bubbles;
-//   - middle levels: steal half the victim's remainder, the flat policy;
+//     narrow — a chunk of at most stealChunk bins off the victim's tail,
+//     so siblings fine-tune load without evicting each other's bubbles;
+//   - middle levels: steal half the victim's remainder;
 //   - outermost level (victim shares only the last-level cache): steal
 //     wide — the upper part of the victim's range cut at the nearest
 //     subtree boundary of the level below, so the stolen work is a run
@@ -24,15 +22,32 @@ package core
 // thief starts draining it front-to-back and its idle cluster siblings
 // carve their own chunks off the tail through the same per-level policy.
 //
-// A 1-level topology degenerates to the flat dispatcher exactly: the
-// initial cut is PartitionWeights over individual bins and every steal
-// is a half-steal from the largest victim (stealTree's top==0 case),
-// which is stealInto verbatim.
+// A nil Topology (or any 1-level one) is the one-level tree, the flat
+// dispatch: the initial cut is PartitionWeights over individual bins and
+// every steal is a half-steal from the largest victim (stealTree's
+// top==0 case).
 
-// runTree executes bins across workers under a hierarchical topology.
-// Containment and cancellation follow runSegmented: every worker checks
-// the shared runControl once per bin.
-func (s *Scheduler) runTree(order []*bin, workers int, ctrl *runControl) {
+// stealChunk bounds how many bins one segment claim or one narrow steal
+// takes: small enough that a nearly-drained segment still exposes work
+// to thieves, large enough to amortize the claim's CAS.
+const stealChunk = 16
+
+// runParallel executes bins across Workers goroutines; each bin runs
+// entirely on one worker so the per-bin working set still fits one cache.
+// Containment and cancellation are cooperative: every worker checks the
+// shared runControl once per bin, so a panic on one worker (recovered
+// into the control) or an expired ctx stops the whole pool at bin
+// granularity, after which fanOut's barrier guarantees quiescence. With
+// observability attached, each contiguous drain (the initial segment and
+// every stolen refill) is timed into sched.segment_drain_ns and spanned
+// on the worker's timeline track, and sched.steals counts successful
+// refills per thief.
+func (s *Scheduler) runParallel(ctx context.Context, order []*bin) error {
+	workers := s.cfg.Workers
+	if workers > len(order) {
+		workers = len(order)
+	}
+	ctrl := newRunControl(ctx)
 	topo := s.cfg.Topology
 	weights := make([]int, len(order))
 	for i, b := range order {
@@ -45,7 +60,6 @@ func (s *Scheduler) runTree(order []*bin, workers int, ctrl *runControl) {
 	for i, r := range asn {
 		segs[i].bounds.Store(packRange(r.lo, r.hi))
 	}
-	takeChunk := topo.stealChunkAt(0, s.cfg.StealChunk)
 	s.fanOut(len(segs), "run", func(self int) {
 		prov := -1 // provenance of the current segment: -1 home, else steal level
 		for {
@@ -53,7 +67,7 @@ func (s *Scheduler) runTree(order []*bin, workers int, ctrl *runControl) {
 			sp := s.met.span(self, "drain")
 			bins, threads := 0, 0
 			for !ctrl.halted() {
-				lo, hi, ok := segs[self].take(takeChunk)
+				lo, hi, ok := segs[self].take(stealChunk)
 				if !ok {
 					break
 				}
@@ -73,7 +87,7 @@ func (s *Scheduler) runTree(order []*bin, workers int, ctrl *runControl) {
 			if ctrl.halted() {
 				return
 			}
-			lvl, stolen, ok := s.stealTree(segs, self, workers, tree, ctrl)
+			lvl, stolen, ok := stealTree(segs, self, workers, tree, ctrl)
 			if !ok {
 				return
 			}
@@ -81,19 +95,22 @@ func (s *Scheduler) runTree(order []*bin, workers int, ctrl *runControl) {
 			s.met.treeSteal(self, lvl, stolen)
 		}
 	})
+	return ctrl.err()
 }
 
 // stealTree refills segs[self] (which the caller has drained) from the
 // nearest level that still has work: for each level from the innermost
 // out, the victim is the worker with the most remaining bins among those
 // whose closest shared cache with the thief is that level, and the steal
-// width follows the level policy described in the package comment. Like
-// stealInto, only a slot's owner refills it, so "no victim with more
-// than one bin left at any level" is a safe exit condition. The per-level
-// rescan loop re-checks the run control so a halted run cannot keep a
-// thief spinning against racing victims.
-func (s *Scheduler) stealTree(segs []binSegment, self, workers int, tree *binTree, ctrl *runControl) (level, bins int, ok bool) {
-	topo := s.cfg.Topology
+// width follows the level policy described in the file comment. Only a
+// slot's owner refills it, so a worker that returns false and exits
+// leaves its slot empty forever and every non-empty slot still has an
+// active owner: "no victim with more than one bin left at any level" is
+// a safe exit condition. The per-level rescan loop re-checks the run
+// control so a halted run cannot keep a thief spinning against racing
+// victims.
+func stealTree(segs []binSegment, self, workers int, tree *binTree, ctrl *runControl) (level, bins int, ok bool) {
+	topo := tree.topo
 	top := topo.Levels() - 1
 	for l := 0; l <= top; l++ {
 		for !ctrl.halted() {
@@ -113,15 +130,14 @@ func (s *Scheduler) stealTree(segs []binSegment, self, workers int, tree *binTre
 			var got bool
 			switch {
 			case top == 0:
-				// Flat degenerate case: the half-steal the linear
-				// dispatcher always performed.
+				// One-level (flat) case: half the largest victim's
+				// remainder.
 				lo, hi, got = segs[victim].stealHalf()
 			case l == 0:
-				chunk := topo.stealChunkAt(0, s.cfg.StealChunk)
 				lo, hi, got = segs[victim].detachUpper(func(vlo, vhi int) int {
 					n := (vhi - vlo) / 2
-					if n > chunk {
-						n = chunk
+					if n > stealChunk {
+						n = stealChunk
 					}
 					if n < 1 {
 						n = 1

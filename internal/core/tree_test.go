@@ -8,6 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"threadsched/internal/obs"
 )
 
 func mustTopo(t *testing.T, spec string) *Topology {
@@ -243,7 +246,7 @@ func TestTreeOneLevelMatchesFlatTour(t *testing.T) {
 // once; under -race this is also the bins-stay-contained proof for the
 // hierarchical dispatcher.
 func TestTreeRunAllTopologies(t *testing.T) {
-	specs := []string{"16k:1,128k:4", "16k:2,128k:4,1m:16", "16k:2:4,64k:4:8,1m:16"}
+	specs := []string{"16k:1,128k:4", "16k:2,128k:4,1m:16", "16k:4,64k:8,1m:16"}
 	for _, spec := range specs {
 		for _, w := range []int{2, 3, 4, runtime.NumCPU() + 1} {
 			s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: w,
@@ -295,26 +298,37 @@ func TestTreeRunKeepsBinsOnOneWorker(t *testing.T) {
 	}
 }
 
-// TestTreeStealStorm manufactures maximal steal pressure at every level
-// boundary: all work forks into the bins of worker 0's home subtree, so
-// every other worker must steal across its level boundary to participate,
-// repeatedly, while the race detector watches the segment CAS traffic.
+// TestTreeStealStorm manufactures steal pressure at every level
+// boundary under the default steal chunk: the first thread of the tour
+// blocks worker 0 inside bin 0 until a thread of bin 2 — deeper in
+// worker 0's home segment, out of the owner's reach while it is blocked —
+// has run, so the other workers must steal across their level boundaries
+// to finish, while the race detector watches the segment CAS traffic.
+// The sched.steals counter then proves steals happened.
 func TestTreeStealStorm(t *testing.T) {
 	for _, spec := range []string{"8k:2,32k:4", "8k:2,32k:4,256k:8"} {
+		o := obs.New(8)
 		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 12, Workers: 8,
-			StealChunk: 1, // maximal steal granularity
-			Topology:   mustTopo(t, spec)})
-		const n = 6000
+			Topology: mustTopo(t, spec), Obs: o})
+		const n, bins = 6000, 64
 		counts := make([]int32, n)
-		var slow atomic.Int64
+		reached := make(chan struct{})
+		var reachOnce sync.Once
+		timedOut := false
 		for i := 0; i < n; i++ {
 			s.Fork(func(a1, _ int) {
 				atomic.AddInt32(&counts[a1], 1)
-				// A little work so thieves catch victims mid-drain.
-				if a1%97 == 0 {
-					slow.Add(1)
+				switch {
+				case a1 == 0:
+					select {
+					case <-reached:
+					case <-time.After(10 * time.Second):
+						timedOut = true
+					}
+				case a1%bins == 2:
+					reachOnce.Do(func() { close(reached) })
 				}
-			}, i, 0, uint64(i%4)<<12, 0, 0) // 4 bins: fewer bins than workers
+			}, i, 0, uint64(i%bins)<<12, 0, 0)
 		}
 		s.Run(false)
 		s.Close()
@@ -323,31 +337,11 @@ func TestTreeStealStorm(t *testing.T) {
 				t.Fatalf("topo=%s: thread %d ran %d times", spec, i, c)
 			}
 		}
-	}
-}
-
-// TestStealChunkKnob checks the Config knob: default applied when unset,
-// honored when set, and a chunk of 1 still runs everything exactly once.
-func TestStealChunkKnob(t *testing.T) {
-	s := New(Config{CacheSize: 1 << 20})
-	if s.cfg.StealChunk != DefaultStealChunk {
-		t.Fatalf("default StealChunk = %d, want %d", s.cfg.StealChunk, DefaultStealChunk)
-	}
-	s = New(Config{CacheSize: 1 << 20, StealChunk: 3})
-	if s.cfg.StealChunk != 3 {
-		t.Fatalf("StealChunk = %d, want 3", s.cfg.StealChunk)
-	}
-	for _, chunk := range []int{1, 2, 64} {
-		s := New(Config{CacheSize: 1 << 20, BlockSize: 1 << 13, Workers: 4, StealChunk: chunk})
-		const n = 2000
-		counts := make([]int32, n)
-		forkSkewed(s, counts, n)
-		s.Run(false)
-		s.Close()
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("chunk=%d: thread %d ran %d times", chunk, i, c)
-			}
+		if timedOut {
+			t.Fatalf("topo=%s: no thief reached bin 2 while worker 0 was blocked", spec)
+		}
+		if c, ok := snapCounter(o.Snapshot(), "sched.steals"); !ok || c.Total == 0 {
+			t.Fatalf("topo=%s: sched.steals = %+v, want steals", spec, c)
 		}
 	}
 }

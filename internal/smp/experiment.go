@@ -21,15 +21,16 @@ const (
 	// different processors; the no-locality baseline.
 	Scatter
 	// SegmentTour partitions the bin tour into contiguous segments
-	// weighted by thread count, one per processor — the assignment the
-	// core scheduler's parallel Run uses (core.DispatchSegmented).
+	// weighted by thread count, one per processor — the initial
+	// assignment the core scheduler's parallel Run makes with no
+	// topology (the one-level bin tree).
 	// Spatially adjacent bins share a processor, so the read-mostly data
 	// they share stays in one private cache instead of ping-ponging.
 	SegmentTour
 	// InterleaveBins assigns whole bins round-robin across processors —
-	// the assignment the legacy atomic-counter dispatch
-	// (core.DispatchAtomic) converges to: bins stay intact, but tour
-	// neighbours always land on different processors.
+	// the assignment a shared atomic-counter dispatch converges to, and
+	// the repository's one model of that baseline: bins stay intact, but
+	// tour neighbours always land on different processors.
 	InterleaveBins
 )
 
@@ -123,8 +124,8 @@ func (d *dispatcher) Run(keep bool) {
 
 // CompareDispatch runs the N-body step under segment-tour and
 // interleaved-bin dispatch on the same simulated machine — the coherence
-// counterpart of the core scheduler's DispatchSegmented vs DispatchAtomic
-// choice. Both keep bins intact; the difference is purely whether tour
+// counterpart of the core scheduler's segment dispatch against the
+// atomic-counter scatter baseline. Both keep bins intact; the difference is purely whether tour
 // neighbours share a processor, so the invalidation delta isolates the
 // cross-bin adjacency effect.
 func CompareDispatch(m machine.Machine, procs, n int, coherence bool) (segment, interleave Result, err error) {
